@@ -215,8 +215,7 @@ pub fn scope_for(rel: &str) -> FileScope {
         || in_dir("crates/server/src/")
         || rel.ends_with("crates/core/src/engine.rs")
         || rel.ends_with("crates/core/src/driver.rs")
-        || rel.ends_with("crates/core/src/sched.rs")
-        || rel.ends_with("crates/core/src/stream.rs");
+        || rel.ends_with("crates/core/src/sched.rs");
     FileScope {
         hot_path: in_dir("crates/datampi/src/")
             || in_dir("crates/mpisim/src/")
@@ -227,7 +226,6 @@ pub fn scope_for(rel: &str) -> FileScope {
             || rel.ends_with("crates/core/src/engine.rs")
             || rel.ends_with("crates/core/src/driver.rs")
             || rel.ends_with("crates/core/src/sched.rs")
-            || rel.ends_with("crates/core/src/stream.rs")
             // PR 10: the vectorized kernels run per batch on the scan
             // hot path — a panic there takes down a map task.
             || rel.ends_with("crates/core/src/batch.rs")
@@ -235,14 +233,12 @@ pub fn scope_for(rel: &str) -> FileScope {
             || rel.ends_with("crates/common/src/stats.rs"),
         mpisim: in_dir("crates/mpisim/src/"),
         // The stage scheduler's dispatch loop blocks on worker channels
-        // just like the comm layer does, so it is in scope since PR 6;
-        // the pipelined stream's condvar waits joined in PR 7, and the
-        // serving layer's admission gate in PR 8.
+        // just like the comm layer does, so it is in scope since PR 6,
+        // and the serving layer's admission gate joined in PR 8.
         blocking: in_dir("crates/datampi/src/")
             || in_dir("crates/mpisim/src/")
             || in_dir("crates/server/src/")
-            || rel.ends_with("crates/core/src/sched.rs")
-            || rel.ends_with("crates/core/src/stream.rs"),
+            || rel.ends_with("crates/core/src/sched.rs"),
         lock_extract: !test_file,
         blocking_lock: contended,
         span_balance: true,

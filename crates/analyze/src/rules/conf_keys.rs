@@ -5,7 +5,7 @@
 //! any string literal that looks like a conf key — it starts with one of
 //! the known namespaces — is flagged outside the registry file.
 //!
-//! The rule applies to test code too: a test probing `"hive.datampi.dag"`
+//! The rule applies to test code too: a test probing `"hive.map.aggr"`
 //! by hand would keep passing after the key is renamed in the registry,
 //! while the production path breaks.
 

@@ -7,4 +7,4 @@ pub fn reducers(conf: &std::collections::HashMap<String, String>) -> usize {
         .unwrap_or(1)
 }
 
-pub const DAG_KEY: &str = "hive.datampi.dag";
+pub const SPILL_KEY: &str = "hive.datampi.spill.percent";

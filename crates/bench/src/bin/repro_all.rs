@@ -21,7 +21,7 @@
 //!
 //! `--faults <seed> --cancel` switches the chaos smoke to the
 //! cancellation arm: for each seed, every TPC-H query runs on both
-//! engines, pipelined off and on, with a cancel token fired at a
+//! engines, vectorized off and on, with a cancel token fired at a
 //! seeded random point. Each arm must finish under a watchdog (no
 //! hang), end in exactly Ok(baseline rows) or the typed cancelled
 //! error, and — when cancelled — a clean rerun must still match the
@@ -39,7 +39,7 @@ use hdm_core::{Driver, EngineKind};
 use hdm_storage::FormatKind;
 use hdm_workloads::tpch;
 
-const BINS: [&str; 14] = [
+const BINS: [&str; 13] = [
     "table01_datasets",
     "fig01_breakdown",
     "fig02_comm_pattern",
@@ -53,7 +53,6 @@ const BINS: [&str; 14] = [
     "fig13_resources",
     "table03_productivity",
     "ablations",
-    "future_dag",
 ];
 
 /// Sorted-line comparison with float canonicalization (same convention
@@ -118,11 +117,8 @@ impl RunLog {
 }
 
 /// Parallel-scheduler smoke: each selected TPC-H query must produce
-/// byte-identical rows with `hive.exec.parallel` off and on (both arms
-/// pipelined, the default), plus the same normalized result set with
-/// `hive.exec.pipelined` off (streaming may repartition downstream
-/// tasks, so that arm is compared order-insensitively). Returns the
-/// number of failures.
+/// byte-identical rows with `hive.exec.parallel` off and on. Returns
+/// the number of failures.
 fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
     let mut d = Driver::in_memory();
     if let Err(e) = tpch::load(&mut d, 0.002, 20150701, FormatKind::Text) {
@@ -132,34 +128,26 @@ fn parallel_smoke(queries: &[usize], log: &mut RunLog) -> usize {
     let mut failures = 0usize;
     for &n in queries {
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            let run = |d: &mut Driver, parallel: bool, pipelined: bool| {
+            let run = |d: &mut Driver, parallel: bool| {
                 let c = d.conf_mut();
                 c.set(hdm_common::conf::KEY_EXEC_PARALLEL, parallel);
                 c.set(hdm_common::conf::KEY_EXEC_PARALLEL_THREADS, 8);
-                c.set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                 d.execute_on(tpch::queries::query(n), engine)
                     .map(|r| r.to_lines())
             };
-            match (
-                run(&mut d, false, true),
-                run(&mut d, true, true),
-                run(&mut d, true, false),
-            ) {
-                (Ok(seq), Ok(par), Ok(mat)) => {
+            match (run(&mut d, false), run(&mut d, true)) {
+                (Ok(seq), Ok(par)) => {
                     if seq != par {
                         log.warn(&format!("Q{n} {engine:?}: parallel run DIVERGED"));
                         failures += 1;
-                    } else if normalize(par.clone()) != normalize(mat) {
-                        log.warn(&format!("Q{n} {engine:?}: pipelined run DIVERGED"));
-                        failures += 1;
                     } else {
                         log.say(&format!(
-                            "Q{n:02} {engine:?}: parallel == sequential, pipelined == materialized ({} rows)",
+                            "Q{n:02} {engine:?}: parallel == sequential ({} rows)",
                             seq.len()
                         ));
                     }
                 }
-                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
+                (Err(e), _) | (_, Err(e)) => {
                     log.warn(&format!("Q{n} {engine:?}: FAILED: {e}"));
                     failures += 1;
                 }
@@ -270,7 +258,7 @@ fn chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
 
 /// Deterministic per-arm PRNG stream (splitmix64 finalizer): the cancel
 /// fire point for an arm depends only on (seed, query, engine,
-/// pipelined), so a failing arm replays exactly.
+/// vectorized), so a failing arm replays exactly.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -279,7 +267,7 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 /// Cancellation chaos smoke: fire a token at a seeded random point into
-/// every (query, engine, pipelined, vectorized) arm and require a
+/// every (query, engine, vectorized) arm and require a
 /// bounded, typed, state-clean outcome. Tables are loaded as ORC so the
 /// vectorized arms genuinely run the batched columnar path. Returns the
 /// number of failures.
@@ -302,15 +290,10 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                 .into_iter()
                 .enumerate()
             {
-                for (pipelined, vectorized) in
-                    [(true, true), (true, false), (false, true), (false, false)]
-                {
-                    let arm =
-                        format!("Q{n:02} {engine:?} pipelined={pipelined} vectorized={vectorized}");
+                for vectorized in [true, false] {
+                    let arm = format!("Q{n:02} {engine:?} vectorized={vectorized}");
                     let run = |d: &Driver, token: &hdm_common::CancelToken| {
                         let mut s = d.session();
-                        s.conf_mut()
-                            .set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                         s.conf_mut()
                             .set(hdm_common::conf::KEY_VECTORIZED, vectorized);
                         s.execute_on_cancellable(tpch::queries::query(n), engine, token)
@@ -327,12 +310,9 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                     // Fire point: 0..40ms into the run — straddling the
                     // runtime of a scale-0.002 query, so across the sweep
                     // arms land before, during, and after execution.
-                    let delay_us = mix64(
-                        seed ^ (n as u64) << 8
-                            ^ (ei as u64) << 4
-                            ^ (pipelined as u64) << 1
-                            ^ vectorized as u64,
-                    ) % 40_000;
+                    let delay_us =
+                        mix64(seed ^ (n as u64) << 8 ^ (ei as u64) << 4 ^ vectorized as u64)
+                            % 40_000;
                     let token = hdm_common::CancelToken::new();
                     let (tx, rx) = std::sync::mpsc::channel();
                     let runner = {
@@ -341,8 +321,6 @@ fn cancel_chaos_smoke(seeds: &[u64], log: &mut RunLog) -> usize {
                         let tx = tx.clone();
                         std::thread::spawn(move || {
                             let mut s = session;
-                            s.conf_mut()
-                                .set(hdm_common::conf::KEY_EXEC_PIPELINED, pipelined);
                             s.conf_mut()
                                 .set(hdm_common::conf::KEY_VECTORIZED, vectorized);
                             let out = s

@@ -49,7 +49,6 @@ impl Workload {
     /// Panics on load failure (harness context).
     pub fn tpch(format: FormatKind) -> Workload {
         let mut driver = Driver::in_memory();
-        Self::pin_paper_semantics(&mut driver);
         let stats =
             tpch::load_with_stats(&mut driver, TPCH_SCALE, SEED, format).expect("tpch load");
         // Nominal sizes ("the 40 GB data set") are logical: anchor the
@@ -67,23 +66,9 @@ impl Workload {
     /// Panics on load failure (harness context).
     pub fn hibench() -> Workload {
         let mut driver = Driver::in_memory();
-        Self::pin_paper_semantics(&mut driver);
         let cfg = hibench::HiBenchConfig::default();
         let base_bytes = hibench::load(&mut driver, &cfg).expect("hibench load");
         Workload { driver, base_bytes }
-    }
-
-    /// The paper's Hive-on-DataMPI (ICDCS 2015) materializes every
-    /// intermediate between chained jobs, and the timing model replays
-    /// the *measured* volumes — so the figure harnesses must run with
-    /// `hive.exec.pipelined` off or the streamed (zero-file-I/O)
-    /// volumes would misrepresent the system the paper measured. The
-    /// `pipeline` bench re-enables the knob per arm to measure the
-    /// improvement itself.
-    fn pin_paper_semantics(driver: &mut Driver) {
-        driver
-            .conf_mut()
-            .set(hdm_common::conf::KEY_EXEC_PIPELINED, false);
     }
 
     /// Volume scale factor for a nominal dataset of `gb` gigabytes.

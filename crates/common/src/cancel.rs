@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is the one-bit contract between whoever decides a
 //! query must stop (a deadline monitor, `HdmServer::shutdown`, an
 //! explicit kill) and every layer that does the work (the stage
-//! scheduler, engine task supervisors, streamed intermediates, the MPI
+//! scheduler, engine task supervisors, the MPI
 //! simulator's receive loops). The contract is *cooperative*: firing the
 //! token never interrupts anything — each layer polls at its own safe
 //! points and unwinds by returning [`HdmError::Cancelled`].

@@ -24,16 +24,15 @@ pub const KEY_SORT_BUFFER_BYTES: &str = "io.sort.buffer.bytes";
 pub const KEY_BLOCK_SIZE: &str = "dfs.block.size";
 /// Task slots per node (paper: 4).
 pub const KEY_SLOTS_PER_NODE: &str = "mapred.tasktracker.slots";
+/// Worker threads the in-process Hadoop engine runs map and reduce
+/// tasks on. Default 8.
+pub const KEY_LOCAL_THREADS: &str = "engine.local.threads";
 /// DataMPI shuffle style: `blocking` or `nonblocking` (Section IV-C).
 pub const KEY_SHUFFLE_STYLE: &str = "datampi.shuffle.style";
 /// Send partition size in bytes for the DataMPI buffer manager.
 pub const KEY_SEND_PARTITION_BYTES: &str = "datampi.send.partition.bytes";
 /// Whether the map-side combiner runs (Hive map aggregation).
 pub const KEY_COMBINER: &str = "hive.map.aggr";
-/// DAG execution mode: chained DataMPI stages hand intermediates to the
-/// next stage in memory instead of materializing sequence files (the
-/// paper's stated future work, Section VI).
-pub const KEY_DAG_MODE: &str = "hive.datampi.dag";
 /// Hive's reducer-count policy input: bytes of stage input per reducer.
 pub const KEY_BYTES_PER_REDUCER: &str = "hive.exec.bytes.per.reducer";
 /// Whether ORC predicate pushdown is applied at scan time.
@@ -87,14 +86,6 @@ pub const KEY_EXEC_PARALLEL: &str = "hive.exec.parallel";
 /// Worker-thread cap for concurrent stage execution (Hive's
 /// `hive.exec.parallel.thread.number`). Default 8.
 pub const KEY_EXEC_PARALLEL_THREADS: &str = "hive.exec.parallel.thread.number";
-/// Whether dependent stages stream intermediates partition-by-partition
-/// (the Tez-style pipelined stage boundary). Default true; `false`
-/// restores full materialization at every stage barrier.
-pub const KEY_EXEC_PIPELINED: &str = "hive.exec.pipelined";
-/// Backpressure cap for pipelined stage hand-off: the maximum number of
-/// committed-but-unconsumed partitions a producer stage may buffer
-/// before its commits block. Default 4.
-pub const KEY_EXEC_PIPELINED_BUFFER: &str = "hive.exec.pipelined.buffer.partitions";
 /// Whether eligible scan stages run the vectorized columnar pipeline
 /// (batched ORC decode + column-at-a-time Filter/Select/GroupBy
 /// kernels). Default true; ineligible operators (DISTINCT aggregates,
@@ -407,28 +398,48 @@ impl JobConf {
         Ok(v as usize)
     }
 
-    /// Whether dependent stages stream intermediates partition-by-
-    /// partition instead of materializing at a stage barrier. Default
-    /// **true** (the pipelined path is differential-tested against the
-    /// barrier path across both engines and all 22 TPC-H queries).
+    /// Task slots per node. Default **4**; the reducer-count policy
+    /// caps a stage at seven nodes' worth of slots.
     ///
     /// # Errors
-    /// Returns [`HdmError::Config`] if the stored value is not a bool.
-    pub fn exec_pipelined(&self) -> Result<bool> {
-        self.get_bool(KEY_EXEC_PIPELINED, true)
-    }
-
-    /// Pipelined hand-off buffer cap, in partitions. Default **4**.
-    ///
-    /// # Errors
-    /// Returns [`HdmError::Config`] if the stored value is not an
-    /// integer or is less than 1 (a zero-partition buffer could never
-    /// pass data through — the producer's first commit would deadlock).
-    pub fn exec_pipelined_buffer(&self) -> Result<usize> {
-        let v = self.get_i64(KEY_EXEC_PIPELINED_BUFFER, 4)?;
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (a node with no slots could run no task).
+    pub fn slots_per_node(&self) -> Result<usize> {
+        let v = self.get_i64(KEY_SLOTS_PER_NODE, 4)?;
         if v < 1 {
             return Err(HdmError::Config(format!(
-                "{KEY_EXEC_PIPELINED_BUFFER}: expected a partition count >= 1, got {v}"
+                "{KEY_SLOTS_PER_NODE}: expected a slot count >= 1, got {v}"
+            )));
+        }
+        Ok(v as usize)
+    }
+
+    /// Stage input bytes per reducer for the default reducer-count
+    /// policy. Default **32 KiB**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (the policy divides by it).
+    pub fn bytes_per_reducer(&self) -> Result<u64> {
+        let v = self.get_i64(KEY_BYTES_PER_REDUCER, 32 << 10)?;
+        if v < 1 {
+            return Err(HdmError::Config(format!(
+                "{KEY_BYTES_PER_REDUCER}: expected a byte count >= 1, got {v}"
+            )));
+        }
+        Ok(v as u64)
+    }
+
+    /// Hadoop-engine task worker threads. Default **8**.
+    ///
+    /// # Errors
+    /// Returns [`HdmError::Config`] if the stored value is not an integer
+    /// or is less than 1 (the engine needs one worker to make progress).
+    pub fn local_threads(&self) -> Result<usize> {
+        let v = self.get_i64(KEY_LOCAL_THREADS, 8)?;
+        if v < 1 {
+            return Err(HdmError::Config(format!(
+                "{KEY_LOCAL_THREADS}: expected a thread count >= 1, got {v}"
             )));
         }
         Ok(v as usize)
@@ -773,33 +784,38 @@ mod tests {
     }
 
     #[test]
-    fn exec_pipelined_knobs_default_on_and_validate() {
+    fn task_capacity_knobs_default_and_validate() {
         let c = JobConf::new();
-        assert!(c.exec_pipelined().unwrap());
-        assert_eq!(c.exec_pipelined_buffer().unwrap(), 4);
+        assert_eq!(c.slots_per_node().unwrap(), 4);
+        assert_eq!(c.bytes_per_reducer().unwrap(), 32 << 10);
+        assert_eq!(c.local_threads().unwrap(), 8);
 
         let c = JobConf::new()
-            .with(KEY_EXEC_PIPELINED, "false")
-            .with(KEY_EXEC_PIPELINED_BUFFER, 16);
-        assert!(!c.exec_pipelined().unwrap());
-        assert_eq!(c.exec_pipelined_buffer().unwrap(), 16);
+            .with(KEY_SLOTS_PER_NODE, 1)
+            .with(KEY_BYTES_PER_REDUCER, 1)
+            .with(KEY_LOCAL_THREADS, 2);
+        assert_eq!(c.slots_per_node().unwrap(), 1);
+        assert_eq!(c.bytes_per_reducer().unwrap(), 1);
+        assert_eq!(c.local_threads().unwrap(), 2);
     }
 
     #[test]
-    fn exec_pipelined_knobs_out_of_range_are_errors() {
-        let c = JobConf::new().with(KEY_EXEC_PIPELINED, "perhaps");
-        assert!(c.exec_pipelined().is_err());
-
-        let c = JobConf::new().with(KEY_EXEC_PIPELINED_BUFFER, 0);
-        assert!(c
-            .exec_pipelined_buffer()
-            .unwrap_err()
-            .message()
-            .contains(">= 1"));
-        let c = JobConf::new().with(KEY_EXEC_PIPELINED_BUFFER, -3);
-        assert!(c.exec_pipelined_buffer().is_err());
-        let c = JobConf::new().with(KEY_EXEC_PIPELINED_BUFFER, "lots");
-        assert!(c.exec_pipelined_buffer().is_err());
+    fn task_capacity_knobs_out_of_range_are_errors() {
+        for bad in ["0", "-1", "plenty"] {
+            let c = JobConf::new()
+                .with(KEY_SLOTS_PER_NODE, bad)
+                .with(KEY_BYTES_PER_REDUCER, bad)
+                .with(KEY_LOCAL_THREADS, bad);
+            for err in [
+                c.slots_per_node().map(|_| ()).unwrap_err(),
+                c.bytes_per_reducer().map(|_| ()).unwrap_err(),
+                c.local_threads().map(|_| ()).unwrap_err(),
+            ] {
+                assert!(matches!(err, HdmError::Config(_)), "{bad}: {err}");
+            }
+        }
+        let c = JobConf::new().with(KEY_SLOTS_PER_NODE, 0);
+        assert!(c.slots_per_node().unwrap_err().message().contains(">= 1"));
     }
 
     #[test]

@@ -452,15 +452,9 @@ impl Driver {
     /// `hive.exec.parallel.thread.number` workers; with it off the
     /// scheduler degenerates to the classic sequential loop. Stage
     /// results come back indexed by stage id, so the returned order is
-    /// identical either way.
-    ///
-    /// With `hive.exec.pipelined` (default on) eligible DataMPI
-    /// producer→consumer edges additionally *stream*: the producer
-    /// publishes each reduce partition into a bounded
-    /// [`crate::stream::StreamedIntermediate`] as it commits, and the
-    /// consumer — scheduled as soon as the producer *launches* (a soft
-    /// edge, [`crate::sched::run_dag_pipelined`]) — pulls partitions as
-    /// they land instead of reading sequence files after a barrier.
+    /// identical either way. Every intermediate is a materialized
+    /// sequence file that a consumer reads only after its producer
+    /// completed, as in the paper's Hive-on-DataMPI.
     fn run_plan_stages(
         &self,
         plan: &crate::physical::QueryPlan,
@@ -474,60 +468,26 @@ impl Driver {
         } else {
             1
         };
-        let streams = self.plan_streams(plan, engine, obs)?;
-        // Split the DAG into hard edges (consumer waits for producer
-        // *completion*) and soft edges (consumer may launch once the
-        // producer has launched; the stream itself synchronizes data).
-        let dag = plan.dag();
-        let mut hard: Vec<Vec<usize>> = Vec::with_capacity(dag.len());
-        let mut soft: Vec<Vec<usize>> = Vec::with_capacity(dag.len());
-        for deps in &dag {
-            let (s, h): (Vec<usize>, Vec<usize>) =
-                deps.iter().partition(|d| streams.contains_key(d));
-            soft.push(s);
-            hard.push(h);
-        }
         let intermediates: Mutex<HashMap<usize, Vec<String>>> = Mutex::new(HashMap::new());
-        let dag_intermediates: Mutex<HashMap<usize, std::sync::Arc<Vec<Row>>>> =
-            Mutex::new(HashMap::new());
-        crate::sched::run_dag_pipelined(&hard, &soft, threads, obs, cancel, |stage_id| {
+        crate::sched::run_dag(&plan.dag(), threads, obs, cancel, |stage_id| {
             let stage = plan
                 .stages
                 .get(stage_id)
                 .ok_or_else(|| HdmError::Plan(format!("plan has no stage {stage_id}")))?;
             // Snapshot only the upstream outputs this stage declares as
             // inputs (not the whole map — a full clone made wide plans
-            // quadratic in stage count). Hard dependencies completed
-            // before this stage was scheduled, so each non-streamed
-            // input it will read is present, and concurrent siblings
-            // publishing their own outputs cannot race the borrowed
-            // maps in StageContext.
+            // quadratic in stage count). Dependencies completed before
+            // this stage was scheduled, so each input it will read is
+            // present, and concurrent siblings publishing their own
+            // outputs cannot race the borrowed map in StageContext.
             let mut inter: HashMap<usize, Vec<String>> = HashMap::new();
-            let mut dag_inter: HashMap<usize, std::sync::Arc<Vec<Row>>> = HashMap::new();
-            let mut in_streams: HashMap<usize, crate::stream::StreamedIntermediate> =
-                HashMap::new();
             for input in &stage.inputs {
                 if let crate::physical::InputSource::Stage(id) = &input.source {
-                    if let Some(stream) = streams.get(id) {
-                        in_streams.insert(*id, stream.clone());
-                        continue;
-                    }
                     if let Some(paths) = intermediates.lock().get(id) {
                         inter.insert(*id, paths.clone());
                     }
-                    if let Some(rows) = dag_intermediates.lock().get(id) {
-                        dag_inter.insert(*id, std::sync::Arc::clone(rows));
-                    }
                 }
             }
-            let out_stream = streams.get(&stage_id).cloned();
-            // The guard pins stream liveness to this stage's dynamic
-            // extent: inputs are attached for backpressure accounting,
-            // and if the stage exits without reaching the explicit
-            // finish/fail below (a panic in task code), the drop
-            // handler poisons the output stream so a downstream
-            // consumer blocked in `take()` fails instead of hanging.
-            let guard = StageStreamGuard::enter(&in_streams, out_stream.clone());
             // Spans live on the stage's own track: concurrent stages
             // must not interleave into one misordered "driver" row.
             let track = format!("stage{}", stage.id);
@@ -538,107 +498,17 @@ impl Driver {
                 conf: &self.conf,
                 engine,
                 intermediates: &inter,
-                dag_intermediates: &dag_inter,
-                in_streams: &in_streams,
-                out_stream: out_stream.clone(),
                 query_id,
                 obs: obs.clone(),
                 cancel: cancel.clone(),
             };
-            let result = execute_stage(stage, &ctx);
-            match &result {
-                Ok(_) => {
-                    if let Some(out) = &out_stream {
-                        out.finish();
-                    }
-                }
-                Err(e) if e.is_cancelled() => {
-                    // Cancelled stages move their stream to the
-                    // Cancelled terminal state, so a blocked consumer
-                    // unwinds as cancelled too instead of seeing a
-                    // fault-shaped upstream failure.
-                    if let Some(out) = &out_stream {
-                        out.cancel(e.message());
-                    }
-                }
-                Err(e) => {
-                    if let Some(out) = &out_stream {
-                        out.fail(e.message());
-                    }
-                }
-            }
-            guard.settled();
-            let result = result?;
+            let result = execute_stage(stage, &ctx)?;
             drop(stage_span);
             intermediates
                 .lock()
                 .insert(stage.id, result.output_paths.clone());
-            if let Some(rows) = &result.mem_output {
-                dag_intermediates
-                    .lock()
-                    .insert(stage.id, std::sync::Arc::clone(rows));
-            }
             Ok(result)
         })
-    }
-
-    /// Decide which stages stream their intermediate output and build
-    /// one bounded [`crate::stream::StreamedIntermediate`] per eligible
-    /// producer, keyed by producer stage id.
-    ///
-    /// A producer streams when all of the following hold:
-    /// - the engine is DataMPI and `hive.exec.pipelined` is on (the
-    ///   Hadoop engine keeps strict job barriers, like stock Hive);
-    /// - `hive.datampi.dag` is off (DAG mode already short-circuits
-    ///   the DFS with whole-stage in-memory hand-off and takes
-    ///   precedence);
-    /// - the stage writes an [`StageOutput::Intermediate`];
-    /// - it has exactly one consumer (fan-out would need per-consumer
-    ///   cursors; those edges keep the file path), and that consumer is
-    ///   not a map-only stage (map-only tasks run on a fixed worker
-    ///   pool with out-of-order completion, which could deadlock
-    ///   against a bounded in-order stream).
-    fn plan_streams(
-        &self,
-        plan: &crate::physical::QueryPlan,
-        engine: EngineKind,
-        obs: &hdm_obs::ObsHandle,
-    ) -> Result<HashMap<usize, crate::stream::StreamedIntermediate>> {
-        let mut streams = HashMap::new();
-        let pipelined = engine == EngineKind::DataMpi
-            && self.conf.exec_pipelined()?
-            && !self
-                .conf
-                .get_bool(hdm_common::conf::KEY_DAG_MODE, false)
-                .unwrap_or(false);
-        if !pipelined {
-            return Ok(streams);
-        }
-        let cap = self.conf.exec_pipelined_buffer()?;
-        let consumers = plan.consumers();
-        for (stage, cons) in plan.stages.iter().zip(&consumers) {
-            if stage.output != StageOutput::Intermediate {
-                continue;
-            }
-            if cons.len() != 1 {
-                continue;
-            }
-            let Some(consumer) = cons.first() else {
-                continue;
-            };
-            let map_only = plan
-                .stages
-                .get(*consumer)
-                .is_some_and(|c| matches!(c.kind, crate::physical::StageKind::MapOnly));
-            if map_only {
-                continue;
-            }
-            streams.insert(
-                stage.id,
-                crate::stream::StreamedIntermediate::new(&format!("stage{}", stage.id), cap, obs),
-            );
-        }
-        Ok(streams)
     }
 
     /// The engine a failed fault-tolerant query falls back to, from
@@ -745,57 +615,6 @@ impl Driver {
         }
         sink.close()?;
         Ok(())
-    }
-}
-
-/// Pins stream liveness to a stage closure's dynamic extent.
-///
-/// On entry it attaches the stage as a consumer of every input stream
-/// (backpressure only throttles producers while a consumer is
-/// attached). On drop it detaches them again and — unless the closure
-/// reached its explicit finish/fail bookkeeping and called
-/// [`StageStreamGuard::settled`] — poisons the stage's own output
-/// stream, so a panic in task code fails any downstream consumer
-/// blocked in `take()` instead of leaving it parked forever.
-struct StageStreamGuard {
-    ins: Vec<crate::stream::StreamedIntermediate>,
-    out: Option<crate::stream::StreamedIntermediate>,
-    settled: std::cell::Cell<bool>,
-}
-
-impl StageStreamGuard {
-    fn enter(
-        ins: &HashMap<usize, crate::stream::StreamedIntermediate>,
-        out: Option<crate::stream::StreamedIntermediate>,
-    ) -> StageStreamGuard {
-        let ins: Vec<_> = ins.values().cloned().collect();
-        for s in &ins {
-            s.attach();
-        }
-        StageStreamGuard {
-            ins,
-            out,
-            settled: std::cell::Cell::new(false),
-        }
-    }
-
-    /// Mark the stage's finish/fail bookkeeping as done; drop then only
-    /// detaches inputs.
-    fn settled(&self) {
-        self.settled.set(true);
-    }
-}
-
-impl Drop for StageStreamGuard {
-    fn drop(&mut self) {
-        for s in &self.ins {
-            s.detach();
-        }
-        if !self.settled.get() {
-            if let Some(out) = &self.out {
-                out.fail("producer stage aborted before finishing its stream");
-            }
-        }
     }
 }
 
@@ -969,43 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_mode_matches_file_mode() {
-        let mut d = driver();
-        d.execute("CREATE TABLE names (k BIGINT, label STRING)")
-            .unwrap();
-        d.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two')")
-            .unwrap();
-        // A three-stage query (join → aggregate → sort) exercises two
-        // intermediate hand-offs.
-        let sql = "SELECT label, COUNT(*) AS n, SUM(v) AS s FROM t                    JOIN names nm ON t.k = nm.k GROUP BY label ORDER BY label";
-        // Pin pipelining off for the file arm: this test contrasts DAG
-        // mode against genuinely materialized intermediates.
-        d.conf_mut()
-            .set(hdm_common::conf::KEY_EXEC_PIPELINED, false);
-        let file_mode = d.execute_on(sql, EngineKind::DataMpi).unwrap();
-        d.conf_mut().set(hdm_common::conf::KEY_DAG_MODE, true);
-        let dag_mode = d.execute_on(sql, EngineKind::DataMpi).unwrap();
-        d.conf_mut().set(hdm_common::conf::KEY_DAG_MODE, false);
-        assert_eq!(file_mode.to_lines(), dag_mode.to_lines());
-        // DAG intermediates never touch the DFS: the intermediate stages
-        // report no output files and no downstream input bytes.
-        let mid = &dag_mode.stages[0];
-        assert!(
-            mid.output_paths.is_empty(),
-            "DAG stage should not write files"
-        );
-        assert!(mid.mem_output.is_some());
-        let downstream = &dag_mode.stages[1];
-        assert_eq!(
-            downstream.volumes.total_input_bytes(),
-            0,
-            "DAG downstream reads from memory"
-        );
-        // File mode, by contrast, pays the intermediate round trip.
-        assert!(file_mode.stages[1].volumes.total_input_bytes() > 0);
-    }
-
-    #[test]
     fn exhausted_attempts_fall_back_to_mapreduce_engine() {
         use hdm_common::conf as keys;
         use hdm_faults::{FaultPlan, Site};
@@ -1072,6 +854,33 @@ mod tests {
             break;
         }
         assert!(fell_back, "no candidate seed completed via fallback");
+    }
+
+    #[test]
+    fn invalid_task_capacity_is_a_config_error() {
+        use hdm_common::conf as keys;
+        let sql = "SELECT k, COUNT(*) FROM t GROUP BY k";
+        for (key, bad) in [
+            (keys::KEY_SLOTS_PER_NODE, "0"),
+            (keys::KEY_SLOTS_PER_NODE, "-1"),
+            (keys::KEY_BYTES_PER_REDUCER, "0"),
+            (keys::KEY_LOCAL_THREADS, "0"),
+        ] {
+            for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
+                let mut d = driver();
+                d.conf_mut().set(key, bad);
+                // The local-threads knob only sizes the Hadoop engine.
+                if key == keys::KEY_LOCAL_THREADS && engine == EngineKind::DataMpi {
+                    assert!(d.execute_on(sql, engine).is_ok());
+                    continue;
+                }
+                let err = d.execute_on(sql, engine).unwrap_err();
+                assert!(
+                    matches!(err, HdmError::Config(_)),
+                    "{key}={bad} on {engine:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

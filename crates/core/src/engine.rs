@@ -72,16 +72,6 @@ pub struct StageContext<'a> {
     pub engine: EngineKind,
     /// Output part files of earlier stages, by stage id.
     pub intermediates: &'a HashMap<usize, Vec<String>>,
-    /// In-memory intermediate outputs of earlier stages (DAG mode; see
-    /// [`dag_mode_enabled`]), by stage id.
-    pub dag_intermediates: &'a HashMap<usize, Arc<Vec<Row>>>,
-    /// Pipelined inputs by producer stage id: partitions are taken from
-    /// these streams as the (possibly still running) producers commit
-    /// them, instead of reading part files (DESIGN.md §15).
-    pub in_streams: &'a HashMap<usize, crate::stream::StreamedIntermediate>,
-    /// Pipelined output: when set, this stage commits its output
-    /// partitions here instead of materializing part files.
-    pub out_stream: Option<crate::stream::StreamedIntermediate>,
     /// Unique query id (namespaces temp paths).
     pub query_id: u64,
     /// Observability sink shared across the query's stages (spans,
@@ -93,22 +83,6 @@ pub struct StageContext<'a> {
     /// [`hdm_common::error::HdmError::Cancelled`] when it fires. The
     /// default token never fires.
     pub cancel: hdm_common::CancelToken,
-}
-
-/// Is the DAG execution mode active for this stage context?
-///
-/// The paper's stated future work ("reduce the overhead of intermediate
-/// files storing by supporting DAG distributed computing models") —
-/// implemented here for the DataMPI engine: when
-/// `hive.datampi.dag = true`, chained stages hand their intermediate
-/// rows to the next stage in memory instead of materializing sequence
-/// files in the DFS.
-pub fn dag_mode_enabled(ctx: &StageContext<'_>) -> bool {
-    ctx.engine == EngineKind::DataMpi
-        && ctx
-            .conf
-            .get_bool(hdm_common::conf::KEY_DAG_MODE, false)
-            .unwrap_or(false)
 }
 
 /// What one executed stage produced.
@@ -125,9 +99,6 @@ pub struct StageResult {
     /// Wire-size distribution of the shuffled key-value pairs — the
     /// Figure 2(c)/(d) signal.
     pub kv_sizes: hdm_common::stats::Histogram,
-    /// In-memory intermediate rows (DAG mode only; otherwise `None` and
-    /// the rows live in `output_paths`).
-    pub mem_output: Option<Arc<Vec<Row>>>,
 }
 
 /// The engine-agnostic map pipeline: `(task_index, emit)`.
@@ -205,15 +176,7 @@ impl KeyCodec {
 #[derive(Clone)]
 struct TaskSpec {
     input_idx: usize,
-    split: Option<FileSplit>, // None = synthesized empty task or memory chunk
-    /// DAG mode: read rows `[start, end)` of an in-memory intermediate.
-    mem: Option<(usize, usize, usize)>, // (stage_id, start, end)
-    /// Pipelined mode: take this `(producer_stage, partition)` from the
-    /// producer's stream as it commits.
-    stream: Option<(usize, usize)>,
-    /// Logical size of a memory chunk (drives the reducer-count policy,
-    /// which otherwise sees no split bytes in DAG mode).
-    est_bytes: u64,
+    split: Option<FileSplit>, // None = synthesized empty task
 }
 
 /// Execute one stage on the configured engine.
@@ -236,80 +199,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 let fmt: Arc<dyn FileFormat> = Arc::from(format_for(meta.format));
                 let paths = ctx.metastore.storage.parts(ctx.dfs, name);
                 (fmt, meta.schema.clone(), paths)
-            }
-            InputSource::Stage(id) if ctx.in_streams.contains_key(id) => {
-                // Pipelined mode: one task per producer partition. The
-                // producer declares its partition count as soon as its
-                // own parallelism is decided, so this wait ends long
-                // before the producer finishes running. The byte hint is
-                // the producer's input volume spread across partitions —
-                // the same order of magnitude file splits would report,
-                // so the reducer-count policy below behaves like the
-                // materialized path instead of seeing zero bytes.
-                let Some(stream) = ctx.in_streams.get(id) else {
-                    return Err(HdmError::Plan(format!("stage {id} stream missing")));
-                };
-                let (parts, est_total) = stream.await_partitions()?;
-                let per_part = est_total / parts.max(1) as u64;
-                for part in 0..parts {
-                    tasks.push(TaskSpec {
-                        input_idx: i,
-                        split: None,
-                        mem: None,
-                        stream: Some((*id, part)),
-                        est_bytes: per_part,
-                    });
-                }
-                if parts == 0 {
-                    tasks.push(TaskSpec {
-                        input_idx: i,
-                        split: None,
-                        mem: None,
-                        stream: None,
-                        est_bytes: 0,
-                    });
-                }
-                formats.push(Arc::new(SeqFormat));
-                table_schemas.push(input.read_schema.clone());
-                continue;
-            }
-            InputSource::Stage(id)
-                if dag_mode_enabled(ctx) && ctx.dag_intermediates.contains_key(id) =>
-            {
-                // DAG mode: chunk the in-memory intermediate into tasks.
-                let Some(rows) = ctx.dag_intermediates.get(id).cloned() else {
-                    return Err(HdmError::Plan(format!("stage {id} DAG output missing")));
-                };
-                let chunk = 4096usize;
-                let mut start = 0;
-                let mut any = false;
-                while start < rows.len() {
-                    let end = (start + chunk).min(rows.len());
-                    let est_bytes: u64 = rows
-                        .get(start..end)
-                        .map_or(0, |c| c.iter().map(|r| r.wire_size() as u64).sum());
-                    tasks.push(TaskSpec {
-                        input_idx: i,
-                        split: None,
-                        mem: Some((*id, start, end)),
-                        stream: None,
-                        est_bytes,
-                    });
-                    start = end;
-                    any = true;
-                }
-                if !any {
-                    tasks.push(TaskSpec {
-                        input_idx: i,
-                        split: None,
-                        mem: Some((*id, 0, 0)),
-                        stream: None,
-                        est_bytes: 0,
-                    });
-                }
-                formats.push(Arc::new(SeqFormat));
-                table_schemas.push(input.read_schema.clone());
-                continue;
             }
             InputSource::Stage(id) => {
                 let paths = ctx
@@ -338,9 +227,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 tasks.push(TaskSpec {
                     input_idx: i,
                     split: Some(s),
-                    mem: None,
-                    stream: None,
-                    est_bytes: 0,
                 });
                 any = true;
             }
@@ -357,9 +243,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             tasks.push(TaskSpec {
                 input_idx: i,
                 split: None,
-                mem: None,
-                stream: None,
-                est_bytes: 0,
             });
         }
         formats.push(fmt);
@@ -368,7 +251,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
 
     // ---- decide parallelism -------------------------------------------------
     let map_tasks = tasks.len();
-    let slots = ctx.conf.get_i64(hdm_common::conf::KEY_SLOTS_PER_NODE, 4)? as usize * 7;
+    let slots = ctx.conf.slots_per_node()? * 7;
     let reduce_tasks = match &stage.kind {
         StageKind::MapOnly => 0,
         StageKind::Sort { .. } => 1,
@@ -388,7 +271,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             Parallelism::Default => {
                 let total_bytes: u64 = tasks
                     .iter()
-                    .map(|t| t.split.as_ref().map(|s| s.len).unwrap_or(t.est_bytes))
+                    .filter_map(|t| t.split.as_ref().map(|s| s.len))
                     .sum();
                 // Hive 0.13's policy scaled to this reproduction's
                 // laptop-sized inputs: the default puts any full-table
@@ -396,33 +279,11 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 // format — the regime a 10-40 GB input is in on the real
                 // cluster (the paper observes Hive launching 16 A tasks
                 // for TPC-H Q9 by default).
-                let per_reducer = ctx
-                    .conf
-                    .get_i64(hdm_common::conf::KEY_BYTES_PER_REDUCER, 32 << 10)?
-                    .max(1) as u64;
+                let per_reducer = ctx.conf.bytes_per_reducer()?;
                 (total_bytes.div_ceil(per_reducer) as usize).clamp(1, slots.min(16))
             }
         },
     };
-    // Pipelined producer: declare the output partition count now, so
-    // the consumer stage can enumerate its tasks and start pulling
-    // while this stage is still executing. Output bytes are unknown
-    // until the data exists; this stage's input volume is the hint.
-    if let Some(out) = &ctx.out_stream {
-        let input_bytes: u64 = tasks
-            .iter()
-            .map(|t| t.split.as_ref().map(|s| s.len).unwrap_or(t.est_bytes))
-            .sum();
-        out.declare(
-            if matches!(stage.kind, StageKind::MapOnly) {
-                map_tasks
-            } else {
-                reduce_tasks
-            },
-            input_bytes,
-        );
-    }
-
     // ---- output sink ---------------------------------------------------------
     let out_dir = match &stage.output {
         crate::physical::StageOutput::Table { name, .. } => ctx.metastore.storage.table_dir(name),
@@ -481,13 +342,9 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     };
 
     // Reads a task's rows and drives the pipeline into `emit`.
-    let dag_rows: HashMap<usize, Arc<Vec<Row>>> = ctx.dag_intermediates.clone();
-    let in_streams: HashMap<usize, crate::stream::StreamedIntermediate> = ctx.in_streams.clone();
     let map_logic = {
         let stage = Arc::clone(&stage_arc);
         let tasks = Arc::clone(&tasks_arc);
-        let dag_rows = dag_rows.clone();
-        let in_streams = in_streams.clone();
         let formats = formats.clone();
         let table_schemas = table_schemas.clone();
         let dfs = dfs.clone();
@@ -504,7 +361,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             out_paths: Arc::clone(&out_paths),
             out_bytes: Arc::clone(&out_bytes),
             buffers: Arc::new(Mutex::new(HashMap::new())),
-            out_stream: ctx.out_stream.clone(),
         };
         let obs = ctx.obs.clone();
         let cancel = ctx.cancel.clone();
@@ -539,43 +395,39 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
             // (ORC) and the stage is eligible, rows stay columnar and
             // the batch kernels below replace the row loop.
             let mut columnar: Option<hdm_storage::ColumnarSource> = None;
-            let rows = if let Some((src, part)) = spec.stream {
-                // Pipelined mode: block until the producer commits this
-                // partition, then consume it from memory (no DFS read —
-                // input_bytes stays 0, same as DAG-mode memory chunks).
-                // A replayed task (fault recovery) re-takes the retained
-                // rows, byte-identically.
-                let stream = in_streams.get(&src).ok_or_else(|| {
-                    HdmError::Plan(format!("map task {task_idx}: stage {src} stream missing"))
-                })?;
-                stream.take(part)?.as_ref().clone()
-            } else {
-                match (&spec.split, &spec.mem) {
-                    (None, Some((stage_id, start, end))) => {
-                        // DAG mode: rows arrive from memory, no DFS read.
-                        dag_rows
-                            .get(stage_id)
-                            .and_then(|r| r.get(*start..*end))
-                            .map(<[Row]>::to_vec)
-                            .unwrap_or_default()
+            let rows = match &spec.split {
+                None => Vec::new(),
+                Some(split) => {
+                    let node = split.hosts.first().copied().unwrap_or(NodeId(0));
+                    let no_pushdown = [];
+                    let fmt = formats.get(spec.input_idx).ok_or_else(|| {
+                        HdmError::Plan(format!("input {} has no format", spec.input_idx))
+                    })?;
+                    let schema = table_schemas.get(spec.input_idx).ok_or_else(|| {
+                        HdmError::Plan(format!("input {} has no schema", spec.input_idx))
+                    })?;
+                    let preds: &[hdm_storage::Predicate] = if pushdown_enabled {
+                        &input.pushdown
+                    } else {
+                        &no_pushdown
+                    };
+                    if vectorized {
+                        columnar = fmt.read_split_columns(
+                            &dfs,
+                            split,
+                            schema,
+                            input.read_projection.as_deref(),
+                            preds,
+                            Some(node),
+                        )?;
                     }
-                    (None, None) => Vec::new(),
-                    (Some(split), _) => {
-                        let node = split.hosts.first().copied().unwrap_or(NodeId(0));
-                        let no_pushdown = [];
-                        let fmt = formats.get(spec.input_idx).ok_or_else(|| {
-                            HdmError::Plan(format!("input {} has no format", spec.input_idx))
-                        })?;
-                        let schema = table_schemas.get(spec.input_idx).ok_or_else(|| {
-                            HdmError::Plan(format!("input {} has no schema", spec.input_idx))
-                        })?;
-                        let preds: &[hdm_storage::Predicate] = if pushdown_enabled {
-                            &input.pushdown
-                        } else {
-                            &no_pushdown
-                        };
-                        if vectorized {
-                            columnar = fmt.read_split_columns(
+                    match &columnar {
+                        Some(src) => {
+                            vol.input_bytes = src.bytes_read;
+                            Vec::new()
+                        }
+                        None => {
+                            let src = fmt.read_split(
                                 &dfs,
                                 split,
                                 schema,
@@ -583,24 +435,8 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                                 preds,
                                 Some(node),
                             )?;
-                        }
-                        match &columnar {
-                            Some(src) => {
-                                vol.input_bytes = src.bytes_read;
-                                Vec::new()
-                            }
-                            None => {
-                                let src = fmt.read_split(
-                                    &dfs,
-                                    split,
-                                    schema,
-                                    input.read_projection.as_deref(),
-                                    preds,
-                                    Some(node),
-                                )?;
-                                vol.input_bytes = src.bytes_read;
-                                src.rows
-                            }
+                            vol.input_bytes = src.bytes_read;
+                            src.rows
                         }
                     }
                 }
@@ -755,15 +591,7 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     let map_logic: MapLogic = Arc::new(map_logic);
 
     // ---- the engine-agnostic reduce pipeline --------------------------------------
-    let dag_sink: Option<Arc<Mutex<Vec<Row>>>> =
-        if dag_mode_enabled(ctx) && stage.output == crate::physical::StageOutput::Intermediate {
-            Some(Arc::new(Mutex::new(Vec::new())))
-        } else {
-            None
-        };
     let reduce_logic = {
-        let dag_sink = dag_sink.clone();
-        let out_stream = ctx.out_stream.clone();
         let stage = Arc::clone(&stage_arc);
         let dfs = dfs.clone();
         let out_dir = out_dir.clone();
@@ -869,17 +697,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
                 obs.counter("stage.reduce.rows", &stage_label)
                     .add(rows_out.len() as u64);
             }
-            // Pipelined mode: commit this partition to the consumer
-            // stage's stream — it starts (or continues) consuming
-            // immediately, while sibling partitions are still reducing.
-            if let Some(out) = &out_stream {
-                return out.commit(rank, groups.attempt(), Arc::new(rows_out));
-            }
-            // DAG mode: hand the rows to the next stage in memory.
-            if let Some(sink) = &dag_sink {
-                sink.lock().extend(rows_out);
-                return Ok(());
-            }
             // Write this reducer's part file.
             let path = format!("{out_dir}part-{rank:05}");
             let mut sink =
@@ -970,13 +787,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
     // file again; the path is deterministic per rank, so dedup is exact.
     paths.dedup();
     let kv_sizes = kv_sizes.lock().clone();
-    let mem_output = dag_sink.map(|sink| {
-        Arc::new(
-            Arc::try_unwrap(sink)
-                .map(|m| m.into_inner())
-                .unwrap_or_else(|arc| arc.lock().clone()),
-        )
-    });
     Ok(StageResult {
         output_paths: paths.into_iter().map(|(_, p)| p).collect(),
         volumes: JobVolumes {
@@ -987,7 +797,6 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
         map_tasks,
         reduce_tasks: ran_reducers,
         kv_sizes,
-        mem_output,
     })
 }
 
@@ -995,32 +804,17 @@ pub fn execute_stage(stage: &StagePlan, ctx: &StageContext<'_>) -> Result<StageR
 pub trait GroupSource {
     /// Next `(key, values)` group in comparator order.
     fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)>;
-
-    /// Which recovery attempt of this reduce/A task is running (0 for
-    /// the first). Streamed commits carry it so a replayed partition
-    /// cannot regress a fresher one.
-    fn attempt(&self) -> u32 {
-        0
-    }
 }
 
 impl GroupSource for hdm_mapred::ReduceContext {
     fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
         hdm_mapred::ReduceContext::next_group(self)
     }
-
-    fn attempt(&self) -> u32 {
-        hdm_mapred::ReduceContext::attempt(self)
-    }
 }
 
 impl GroupSource for hdm_datampi::AContext {
     fn next_group(&mut self) -> Option<(Bytes, Vec<Bytes>)> {
         hdm_datampi::AContext::next_group(self)
-    }
-
-    fn attempt(&self) -> u32 {
-        hdm_datampi::AContext::attempt(self)
     }
 }
 
@@ -1042,7 +836,7 @@ fn run_on_hadoop(
         map_tasks,
         reduce_tasks,
         sort_buffer_bytes: conf.get_i64(hdm_common::conf::KEY_SORT_BUFFER_BYTES, 1 << 20)? as usize,
-        concurrency: conf.get_i64("engine.local.threads", 8)? as usize,
+        concurrency: conf.local_threads()?,
         obs: obs.clone(),
         faults: hdm_faults::FaultPlan::from_conf(conf, obs)?,
         recovery: hdm_faults::RecoveryPolicy::from_conf(conf)?,
@@ -1243,9 +1037,6 @@ struct MapOnlySink {
     out_paths: Arc<Mutex<Vec<(usize, String)>>>,
     out_bytes: Arc<Mutex<HashMap<usize, u64>>>,
     buffers: Arc<Mutex<HashMap<usize, Vec<Row>>>>,
-    /// Pipelined mode: commit each task's buffered rows as a stream
-    /// partition on close instead of writing a part file.
-    out_stream: Option<crate::stream::StreamedIntermediate>,
 }
 
 impl MapOnlySink {
@@ -1265,12 +1056,6 @@ impl MapOnlySink {
 
     fn close(&self, task: usize) -> Result<()> {
         let rows = self.buffers.lock().remove(&task).unwrap_or_default();
-        if let Some(out) = &self.out_stream {
-            // Map-only attempts reset their buffer on replay and only
-            // reach close() after a clean run, so attempt 0 is always
-            // the right tag: a replayed commit reproduces the same rows.
-            return out.commit(task, 0, Arc::new(rows));
-        }
         let path = format!("{}part-{task:05}", self.out_dir);
         let mut sink = self.out_format.create(
             &self.dfs,

@@ -61,6 +61,5 @@ pub mod optimizer;
 pub mod parser;
 pub mod physical;
 pub mod sched;
-pub mod stream;
 
 pub use driver::{Driver, EngineKind, QueryResult};

@@ -198,25 +198,6 @@ impl QueryPlan {
             })
             .collect()
     }
-
-    /// The dual of [`Self::dag`]: `consumers()[i]` lists the stage ids
-    /// that read stage `i`'s intermediate (sorted, deduplicated). The
-    /// pipelined driver streams a producer's output only when it has
-    /// exactly one consumer — this is where that fan-out is decided.
-    pub fn consumers(&self) -> Vec<Vec<usize>> {
-        let mut consumers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.stages.len()];
-        for (stage_idx, deps) in self.dag().into_iter().enumerate() {
-            for dep in deps {
-                if let Some(c) = consumers.get_mut(dep) {
-                    c.insert(stage_idx);
-                }
-            }
-        }
-        consumers
-            .into_iter()
-            .map(|c| c.into_iter().collect())
-            .collect()
-    }
 }
 
 /// Column layout of an intermediate relation: which original

@@ -32,15 +32,6 @@
 //! and a `sched.run` span on its own `stage{id}` track, and the
 //! `sched.max.concurrent` gauge records the peak number of stages
 //! executing at once (never above the thread cap).
-//!
-//! Pipelining: [`run_dag_pipelined`] splits the edge set into *hard*
-//! edges (consumer starts after the producer completes — the model
-//! above) and *soft* edges (consumer starts once the producer has
-//! merely launched, and streams its output partitions as they commit —
-//! DESIGN.md §15). Soft edges are satisfied at enqueue time on the FIFO
-//! work queue, so a producer is always dequeued no later than its
-//! consumer; with `threads <= 1` soft edges degrade to hard edges and
-//! the sequential barrier loop runs unchanged.
 
 use hdm_common::error::{HdmError, Result};
 use hdm_common::CancelToken;
@@ -90,253 +81,6 @@ where
         run_sequential(shape, &inst, cancel, &run)
     } else {
         run_concurrent(shape, threads, &inst, cancel, &run)
-    }
-}
-
-/// [`run_dag`] with a pipelined readiness model: `hard[i]` stages must
-/// *complete* before stage `i` starts (the classic barrier edge), while
-/// `soft[i]` stages only need to have *launched* — stage `i` starts
-/// while they are still running and consumes their output as it flows
-/// (a `StreamedIntermediate` hand-off). The work queue is FIFO and a
-/// soft edge is satisfied at enqueue time, so a producer is always
-/// dequeued no later than its consumer.
-///
-/// With `threads <= 1` every soft edge degrades to a hard edge and the
-/// scheduler runs the inline sequential barrier loop — the
-/// `hive.exec.parallel=false` semantics are preserved exactly.
-///
-/// # Errors
-/// - [`HdmError::Plan`] if `hard` and `soft` disagree on the stage
-///   count, reference an out-of-range stage, or together contain a
-///   cycle (nothing is executed in that case).
-/// - The error of a failed stage, after all in-flight stages have
-///   drained; the lowest-id failure wins.
-/// - [`HdmError::Cancelled`] if `cancel` fired (same drain semantics as
-///   [`run_dag`]; cancellation shadows stage errors).
-pub fn run_dag_pipelined<T, F>(
-    hard: &Deps,
-    soft: &Deps,
-    threads: usize,
-    obs: &hdm_obs::ObsHandle,
-    cancel: &CancelToken,
-    run: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    if hard.len() != soft.len() {
-        return Err(HdmError::Plan(format!(
-            "pipelined scheduler: hard/soft dependency tables disagree ({} vs {} stages)",
-            hard.len(),
-            soft.len()
-        )));
-    }
-    // Merged edges validate the DAG (a cycle through any mix of edge
-    // kinds is still a cycle) and drive the sequential barrier path.
-    let merged: Vec<Vec<usize>> = hard
-        .iter()
-        .zip(soft.iter())
-        .map(|(h, s)| h.iter().chain(s.iter()).copied().collect())
-        .collect();
-    let shape = Shape::of(&merged)?;
-    if shape.n == 0 {
-        return Ok(Vec::new());
-    }
-    let inst = Instruments::new(obs);
-    if threads <= 1 || shape.n == 1 {
-        run_sequential(shape, &inst, cancel, &run)
-    } else {
-        run_concurrent_pipelined(shape.n, hard, soft, threads, &inst, cancel, &run)
-    }
-}
-
-/// Per-edge-kind bookkeeping for the pipelined concurrent path. A soft
-/// edge that duplicates a hard edge is dropped (the hard edge is
-/// stricter); duplicate edges within a kind collapse.
-struct PipeShape {
-    hard_indeg: Vec<usize>,
-    soft_indeg: Vec<usize>,
-    hard_children: Vec<Vec<usize>>,
-    soft_children: Vec<Vec<usize>>,
-}
-
-impl PipeShape {
-    fn of(n: usize, hard: &Deps, soft: &Deps) -> PipeShape {
-        let mut shape = PipeShape {
-            hard_indeg: vec![0; n],
-            soft_indeg: vec![0; n],
-            hard_children: vec![Vec::new(); n],
-            soft_children: vec![Vec::new(); n],
-        };
-        for stage in 0..n {
-            let mut seen: Vec<usize> = Vec::new();
-            let hard_deps = hard.get(stage).map(Vec::as_slice).unwrap_or_default();
-            let soft_deps = soft.get(stage).map(Vec::as_slice).unwrap_or_default();
-            for &dep in hard_deps {
-                if seen.contains(&dep) {
-                    continue;
-                }
-                seen.push(dep);
-                if let Some(d) = shape.hard_indeg.get_mut(stage) {
-                    *d += 1;
-                }
-                if let Some(c) = shape.hard_children.get_mut(dep) {
-                    c.push(stage);
-                }
-            }
-            for &dep in soft_deps {
-                if seen.contains(&dep) {
-                    continue;
-                }
-                seen.push(dep);
-                if let Some(d) = shape.soft_indeg.get_mut(stage) {
-                    *d += 1;
-                }
-                if let Some(c) = shape.soft_children.get_mut(dep) {
-                    c.push(stage);
-                }
-            }
-        }
-        shape
-    }
-
-    /// Initial ready set: stages with no pending edges of either kind.
-    fn roots(&self) -> BinaryHeap<Reverse<usize>> {
-        self.hard_indeg
-            .iter()
-            .zip(self.soft_indeg.iter())
-            .enumerate()
-            .filter(|&(_, (&h, &s))| h == 0 && s == 0)
-            .map(|(i, _)| Reverse(i))
-            .collect()
-    }
-}
-
-/// The pipelined concurrent path: like [`run_concurrent`], but a
-/// stage's soft edges are satisfied when it is *enqueued* (the launch
-/// loop cascades, so a soft chain enqueues in one pass, producer before
-/// consumer on the FIFO queue) while hard edges are satisfied on
-/// completion as before.
-fn run_concurrent_pipelined<T, F>(
-    n: usize,
-    hard: &Deps,
-    soft: &Deps,
-    threads: usize,
-    inst: &Instruments<'_>,
-    cancel: &CancelToken,
-    run: &F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let mut shape = PipeShape::of(n, hard, soft);
-    let mut ready = shape.roots();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut failure: Option<(usize, HdmError)> = None;
-
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, Instant)>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, Result<T>)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                // hdm-allow(unbounded-blocking): in-process work queue; the dispatcher below provably closes it on exit
-                while let Ok((stage, ready_at)) = work_rx.recv() {
-                    // Same drain rule as run_concurrent: a stage still in
-                    // the queue when the token fires never starts.
-                    let out = if cancel.is_cancelled() {
-                        Err(cancel.as_error())
-                    } else {
-                        inst.run_stage(stage, ready_at, run)
-                    };
-                    if done_tx.send((stage, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(work_rx);
-        drop(done_tx);
-
-        let mut outstanding = 0usize;
-        loop {
-            if failure.is_none() && cancel.is_cancelled() {
-                // Cancellation = drain mode: launch nothing further,
-                // keep retiring whatever is in flight below.
-                failure = Some((usize::MAX, cancel.as_error()));
-            }
-            if failure.is_none() {
-                while let Some(Reverse(stage)) = ready.pop() {
-                    if work_tx.send((stage, Instant::now())).is_err() {
-                        break;
-                    }
-                    outstanding += 1;
-                    // Launching satisfies this stage's soft out-edges:
-                    // consumers whose remaining edges were all soft go
-                    // onto the heap now and the pop loop cascades.
-                    for &child in shape
-                        .soft_children
-                        .get(stage)
-                        .map(Vec::as_slice)
-                        .unwrap_or_default()
-                    {
-                        if let Some(d) = shape.soft_indeg.get_mut(child) {
-                            *d -= 1;
-                            if *d == 0 && shape.hard_indeg.get(child) == Some(&0) {
-                                ready.push(Reverse(child));
-                            }
-                        }
-                    }
-                }
-            }
-            if outstanding == 0 {
-                break;
-            }
-            // hdm-allow(unbounded-blocking): completion channel; every counted in-flight stage is owned by a live scoped worker
-            let Ok((stage, out)) = done_rx.recv() else {
-                break;
-            };
-            outstanding -= 1;
-            match out {
-                Ok(value) => {
-                    if let Some(slot) = results.get_mut(stage) {
-                        *slot = Some(value);
-                    }
-                    for &child in shape
-                        .hard_children
-                        .get(stage)
-                        .map(Vec::as_slice)
-                        .unwrap_or_default()
-                    {
-                        if let Some(d) = shape.hard_indeg.get_mut(child) {
-                            *d -= 1;
-                            if *d == 0 && shape.soft_indeg.get(child) == Some(&0) {
-                                ready.push(Reverse(child));
-                            }
-                        }
-                    }
-                }
-                Err(err) => match &failure {
-                    Some((first, _)) if *first <= stage => {}
-                    _ => failure = Some((stage, err)),
-                },
-            }
-        }
-        drop(work_tx);
-    });
-
-    if cancel.is_cancelled() {
-        // Cancellation shadows whatever the stages returned: the caller
-        // must see a terminal Cancelled, never a retryable fault.
-        return Err(cancel.as_error());
-    }
-    match failure {
-        Some((_, err)) => Err(err),
-        None => collect(results),
     }
 }
 
@@ -881,33 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_cancel_unwinds_without_hanging() {
-        // Soft producer/consumer pair: the consumer parks on a channel
-        // the producer only feeds after firing the token. Both drain;
-        // the scheduler reports Cancelled.
-        let (tx, rx) = crossbeam::channel::bounded::<()>(1);
-        let hard = vec![vec![], vec![]];
-        let soft = vec![vec![], vec![0]];
-        let token = CancelToken::new();
-        let t = token.clone();
-        let err = run_dag_pipelined(&hard, &soft, 2, &obs(), &token, |stage| {
-            match stage {
-                0 => {
-                    t.cancel("pipelined kill");
-                    tx.send(()).map_err(|e| HdmError::Plan(e.to_string()))?;
-                }
-                _ => {
-                    rx.recv_timeout(Duration::from_secs(5))
-                        .map_err(|e| HdmError::Plan(format!("producer never ran: {e:?}")))?;
-                }
-            }
-            Ok(stage)
-        })
-        .unwrap_err();
-        assert!(err.is_cancelled(), "{err}");
-    }
-
-    #[test]
     fn spans_land_on_per_stage_tracks() {
         let deps = vec![vec![], vec![0]];
         let (_, _, snap) = traced(&deps, 2);
@@ -921,130 +638,6 @@ mod tests {
                 .collect();
             assert!(names.contains(&"sched.wait"), "{track}: {names:?}");
             assert!(names.contains(&"sched.run"), "{track}: {names:?}");
-        }
-    }
-
-    #[test]
-    fn soft_edge_consumer_overlaps_its_producer() {
-        // 0 ──soft──▶ 1. The producer blocks until the consumer answers
-        // a handshake mid-run, which is only possible if the consumer
-        // launched while the producer was still executing.
-        let (token_tx, token_rx) = crossbeam::channel::bounded::<()>(1);
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(1);
-        let hard = vec![vec![], vec![]];
-        let soft = vec![vec![], vec![0]];
-        let out = run_dag_pipelined(&hard, &soft, 2, &obs(), &never(), |stage| {
-            match stage {
-                0 => {
-                    token_tx
-                        .send(())
-                        .map_err(|e| HdmError::Plan(e.to_string()))?;
-                    ack_rx
-                        .recv_timeout(Duration::from_secs(5))
-                        .map_err(|e| HdmError::Plan(format!("consumer never ran: {e:?}")))?;
-                }
-                _ => {
-                    token_rx
-                        .recv_timeout(Duration::from_secs(5))
-                        .map_err(|e| HdmError::Plan(format!("producer never ran: {e:?}")))?;
-                    ack_tx.send(()).map_err(|e| HdmError::Plan(e.to_string()))?;
-                }
-            }
-            Ok(stage * 10)
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 10]);
-    }
-
-    #[test]
-    fn sequential_pipelined_degrades_soft_edges_to_barriers() {
-        // threads=1: soft edges schedule exactly like hard edges — the
-        // consumer runs strictly after the producer, in plan order.
-        let order = Mutex::new(Vec::new());
-        let hard = vec![vec![], vec![], vec![0]];
-        let soft = vec![vec![], vec![0], vec![1]];
-        let out = run_dag_pipelined(&hard, &soft, 1, &obs(), &never(), |stage| {
-            order.lock().push(stage);
-            Ok(stage)
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(order.into_inner(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn soft_chain_cascades_in_one_launch_pass() {
-        // 0 ─soft▶ 1 ─soft▶ 2 ─soft▶ 3: all four stages are enqueued
-        // together (producer before consumer on the FIFO queue) and the
-        // run completes with results in id order.
-        let hard: Vec<Vec<usize>> = vec![vec![]; 4];
-        let soft = vec![vec![], vec![0], vec![1], vec![2]];
-        let o = obs();
-        let out = run_dag_pipelined(&hard, &soft, 4, &o, &never(), |stage| {
-            std::thread::sleep(Duration::from_millis(15));
-            Ok(stage * 10)
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 10, 20, 30]);
-        let peak = o
-            .snapshot()
-            .gauges
-            .iter()
-            .find(|(n, _, _)| n == "sched.max.concurrent")
-            .map(|(_, _, v)| *v)
-            .unwrap();
-        assert!(peak >= 2, "soft chain should overlap, peak {peak}");
-    }
-
-    #[test]
-    fn pipelined_failure_keeps_lowest_id_and_skips_hard_children() {
-        // 0 fails; 1 is a soft consumer (already launched — it drains);
-        // 2 is a hard child of 0 and must never start.
-        let hard = vec![vec![], vec![], vec![0]];
-        let soft = vec![vec![], vec![0], vec![]];
-        let started_hard_child = AtomicUsize::new(0);
-        let err = run_dag_pipelined(&hard, &soft, 2, &obs(), &never(), |stage| match stage {
-            0 => Err(HdmError::Plan("producer boom".into())),
-            2 => {
-                started_hard_child.fetch_add(1, Ordering::Relaxed);
-                Ok(stage)
-            }
-            _ => Ok(stage),
-        })
-        .unwrap_err();
-        assert!(err.message().contains("producer boom"), "{err}");
-        assert_eq!(started_hard_child.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn pipelined_rejects_mixed_cycles_and_mismatched_tables() {
-        // A cycle woven through one hard and one soft edge is detected.
-        let ran = AtomicUsize::new(0);
-        let hard = vec![vec![1], vec![]];
-        let soft = vec![vec![], vec![0]];
-        let err = run_dag_pipelined(&hard, &soft, 4, &obs(), &never(), |s| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            Ok(s)
-        })
-        .unwrap_err();
-        assert!(err.message().contains("cycle"), "{err}");
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-
-        let err =
-            run_dag_pipelined(&[vec![]], &[], 4, &obs(), &never(), Ok::<usize, _>).unwrap_err();
-        assert!(err.message().contains("disagree"), "{err}");
-    }
-
-    #[test]
-    fn pipelined_with_no_soft_edges_matches_run_dag() {
-        let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let empty: Vec<Vec<usize>> = vec![vec![]; 4];
-        for threads in [1, 2, 8] {
-            let plain: Vec<usize> =
-                run_dag(&deps, threads, &obs(), &never(), |s| Ok(s * 7)).unwrap();
-            let piped: Vec<usize> =
-                run_dag_pipelined(&deps, &empty, threads, &obs(), &never(), |s| Ok(s * 7)).unwrap();
-            assert_eq!(plain, piped, "threads={threads}");
         }
     }
 

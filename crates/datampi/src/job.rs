@@ -142,7 +142,6 @@ impl OContext {
 /// `MPI_D_recv` surface after the O phase completes.
 pub struct AContext {
     rank: usize,
-    attempt: u32,
     groups: std::vec::IntoIter<(Bytes, Vec<Bytes>)>,
 }
 
@@ -158,11 +157,6 @@ impl AContext {
     /// This task's rank within the A communicator.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Which recovery attempt is running (0 for the first execution).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// Next `(key, values)` group in comparator order, or `None` at end —
@@ -471,7 +465,6 @@ fn run_a_rank<RO, RA>(
             } else {
                 let mut ctx = AContext {
                     rank: a_rank,
-                    attempt: 0,
                     groups: groups.into_iter(),
                 };
                 a_fn(a_rank, &mut ctx)
@@ -520,7 +513,6 @@ fn run_a_attempts<RA>(
         } else {
             let mut ctx = AContext {
                 rank: a_rank,
-                attempt,
                 groups: input.into_iter(),
             };
             a_fn(a_rank, &mut ctx)

@@ -88,7 +88,6 @@ impl MapContext {
 /// The context a reduce function consumes: sorted `(key, values)` groups.
 pub struct ReduceContext {
     rank: usize,
-    attempt: u32,
     groups: std::vec::IntoIter<(Bytes, Vec<Bytes>)>,
 }
 
@@ -104,11 +103,6 @@ impl ReduceContext {
     /// Reduce task index.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Which recovery attempt is running (0 for the first execution).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// Next key group in comparator order.
@@ -377,7 +371,6 @@ where
                 } else {
                     let mut ctx = ReduceContext {
                         rank,
-                        attempt,
                         groups: input.into_iter(),
                     };
                     reduce_fn(rank, &mut ctx)

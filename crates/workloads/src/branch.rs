@@ -23,11 +23,10 @@
 //!
 //! The module also builds the *opposite* shape: [`deep_chain_plan`], a
 //! strictly linear scan → aggregate → … → aggregate → sort chain with
-//! no sibling parallelism at all. A barrier scheduler can never overlap
-//! any of its stages; every second it saves must come from
-//! `hive.exec.pipelined` streaming partitions across the stage
-//! boundaries — which makes it the discriminating workload for the
-//! pipelined-execution differential tests and the `pipeline` bench.
+//! no sibling parallelism at all. The scheduler can never overlap any of
+//! its stages, and every boundary is a materialized intermediate — which
+//! makes it the workload with the most stage hand-offs per row for the
+//! scheduler differential and chaos tests.
 
 use hdm_common::error::Result;
 use hdm_common::row::{Row, Schema};
@@ -227,9 +226,9 @@ fn chain_aggregate(id: usize) -> StagePlan {
 /// ```
 ///
 /// `aggregates` is clamped to ≥ 2, so the plan always has at least four
-/// dependent stages and three intermediate hand-offs. Every edge has
-/// exactly one non-map-only consumer — with `hive.exec.pipelined` on
-/// the DataMPI engine streams all of them.
+/// dependent stages and three intermediate hand-offs, each a set of
+/// sequence files its single consumer reads after the producer
+/// finishes.
 pub fn deep_chain_plan(aggregates: usize) -> QueryPlan {
     let aggregates = aggregates.max(2);
     let mut stages = vec![StagePlan {

@@ -6,15 +6,17 @@
 //! 1. **Differential sweep** — all 22 TPC-H queries × both engines ×
 //!    {parallel on, off} must produce *byte-identical* collected rows
 //!    and identical per-stage record volumes (scheduling must not
-//!    perturb any stage's work, only when it runs).
+//!    perturb any stage's work, only when it runs); a branching diamond
+//!    and a deep linear chain agree across engines and thread caps.
 //! 2. **Property tests** — proptest-generated random DAGs (≤16 stages)
 //!    scheduled under thread caps 1/2/8: every execution is a valid
 //!    topological order, the `sched.max.concurrent` gauge never
 //!    exceeds the cap, and outputs are deterministic.
 //! 3. **Chaos interplay** — seeded `hive.ft.*` fault injection over a
-//!    genuinely branching (diamond) plan: a crashed stage retries (or
-//!    the whole plan falls back) without corrupting concurrently
-//!    running sibling stages' outputs.
+//!    genuinely branching (diamond) plan and the deep chain: a crashed
+//!    stage retries (or the whole plan falls back) without corrupting
+//!    concurrently running sibling stages' outputs or the materialized
+//!    intermediates its consumers read.
 
 use hdm_common::conf as keys;
 use hdm_core::sched::run_dag;
@@ -36,17 +38,11 @@ fn set_parallel(d: &mut Driver, on: bool, threads: usize) {
     d.conf_mut().set(keys::KEY_EXEC_PARALLEL_THREADS, threads);
 }
 
-fn set_pipelined(d: &mut Driver, on: bool) {
-    d.conf_mut().set(keys::KEY_EXEC_PIPELINED, on);
-}
-
-/// Canonicalize a result for comparison *across* pipelining arms.
+/// Canonicalize a result for comparison *across* engines or fault runs.
 ///
-/// Within one arm the scheduler guarantees byte-identical rows, but
-/// between `hive.exec.pipelined` on and off the consumer's task count
-/// heuristic sees different input-size estimates (streamed partitions
-/// carry no byte sizes), so reduce partitioning — and with it row order
-/// and float accumulation order — may legitimately differ. Sort the
+/// Within one engine the scheduler guarantees byte-identical rows, but
+/// the engines emit join and reduce output in their own orders, and a
+/// retried task may accumulate floats in a different order. Sort the
 /// lines and canonicalize float cells before comparing.
 fn normalize(r: &QueryResult) -> Vec<String> {
     let mut lines: Vec<String> = r
@@ -179,107 +175,38 @@ fn diamond_plan_identical_across_modes_with_capped_overlap() {
     }
 }
 
-/// The pipelined differential sweep: 22 queries × {DataMPI, MapReduce}
-/// × {`hive.exec.pipelined` on, off}. Streaming intermediates across
-/// stage boundaries may repartition downstream work but must never
-/// change the result set (on the Hadoop engine the knob is a no-op and
-/// both arms are the barrier scheduler).
-#[test]
-fn all_22_queries_identical_pipelined_vs_materialized_on_both_engines() {
-    let mut d = fresh_tpch_driver();
-    set_parallel(&mut d, true, 8);
-    for n in tpch::queries::all() {
-        for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            set_pipelined(&mut d, false);
-            let materialized = d
-                .execute_on(tpch::queries::query(n), engine)
-                .unwrap_or_else(|e| panic!("Q{n} materialized failed on {engine:?}: {e}"));
-            set_pipelined(&mut d, true);
-            let pipelined = d
-                .execute_on(tpch::queries::query(n), engine)
-                .unwrap_or_else(|e| panic!("Q{n} pipelined failed on {engine:?}: {e}"));
-            assert_eq!(
-                normalize(&materialized),
-                normalize(&pipelined),
-                "Q{n} on {engine:?}: rows diverge between pipelined and materialized"
-            );
-        }
-    }
-}
-
 /// The deep linear chain (scan → 4 aggregates → sort) produces one
-/// canonical result set across engines × pipelining × thread caps —
-/// the workload where pipelining streams *every* stage boundary, so
-/// any buffering/replay/ordering bug shows up as a row diff here.
+/// canonical result set across engines × thread caps — the workload
+/// with the most stage boundaries, so any hand-off or ordering bug
+/// shows up as a row diff here. Every stage materializes its output as
+/// part files, which its consumer reads after the barrier.
 #[test]
-fn deep_chain_identical_across_engines_and_pipelining_modes() {
+fn deep_chain_identical_across_engines_and_thread_caps() {
     let mut d = Driver::in_memory();
     branch::load_deep(&mut d, 500).expect("load deep chain table");
     let plan = branch::deep_chain_plan(4);
     let mut baseline: Option<Vec<String>> = None;
     for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-        for pipelined in [false, true] {
-            for (par, threads) in [(false, 1), (true, 8)] {
-                set_parallel(&mut d, par, threads);
-                set_pipelined(&mut d, pipelined);
-                let r = d.execute_raw_plan(&plan, engine).unwrap_or_else(|e| {
-                    panic!("deep chain failed on {engine:?} pipelined={pipelined} threads={threads}: {e}")
-                });
-                let lines = normalize(&r);
-                assert_eq!(lines.len(), 500);
-                if let Some(first) = &baseline {
-                    assert_eq!(
-                        first, &lines,
-                        "{engine:?} pipelined={pipelined} threads={threads} diverges"
-                    );
-                } else {
-                    baseline = Some(lines);
-                }
+        for (par, threads) in [(false, 1), (true, 8)] {
+            set_parallel(&mut d, par, threads);
+            let r = d.execute_raw_plan(&plan, engine).unwrap_or_else(|e| {
+                panic!("deep chain failed on {engine:?} threads={threads}: {e}")
+            });
+            for stage in &r.stages {
+                assert!(
+                    !stage.output_paths.is_empty(),
+                    "{engine:?} threads={threads}: a stage wrote no part files"
+                );
+            }
+            let lines = normalize(&r);
+            assert_eq!(lines.len(), 500);
+            if let Some(first) = &baseline {
+                assert_eq!(first, &lines, "{engine:?} threads={threads} diverges");
+            } else {
+                baseline = Some(lines);
             }
         }
     }
-}
-
-/// Structural evidence that pipelining actually streams: on the DataMPI
-/// engine every intermediate stage of the deep chain hands its
-/// partitions over in memory (no part files) and the stream counters
-/// record the traffic.
-#[test]
-fn pipelined_deep_chain_streams_partitions_without_files() {
-    let mut d = Driver::in_memory();
-    branch::load_deep(&mut d, 400).expect("load deep chain table");
-    set_parallel(&mut d, true, 8);
-    d.conf_mut().set(keys::KEY_OBS_ENABLED, true);
-    let plan = branch::deep_chain_plan(3);
-    let r = d
-        .execute_raw_plan(&plan, EngineKind::DataMpi)
-        .expect("pipelined deep chain");
-    assert_eq!(r.rows.len(), 400);
-    let last = r.stages.len() - 1;
-    for stage in &r.stages[..last] {
-        assert!(
-            stage.output_paths.is_empty(),
-            "streamed stage wrote part files: {:?}",
-            stage.output_paths
-        );
-    }
-    assert!(
-        !r.stages[last].output_paths.is_empty(),
-        "the collect stage still materializes its result"
-    );
-    let snap = d.last_obs_snapshot().expect("obs snapshot");
-    let counter = |name: &str| -> u64 {
-        snap.counters
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|(_, _, v)| *v)
-            .sum()
-    };
-    assert!(counter("pipe.partitions.committed") > 0);
-    assert!(
-        counter("pipe.rows.streamed") >= 400 * 4,
-        "four streamed boundaries × 400 rows"
-    );
 }
 
 /// Misconfigured scheduler knobs fail queries loudly instead of
@@ -410,14 +337,13 @@ proptest! {
         prop_assert_eq!(clean, sorted(chaotic), "diamond diverged under fault seed {}", seed);
     }
 
-    /// Chaos × pipelining: fault injection over the fully-streamed deep
-    /// chain. A crashed task's retry must *replay* its partition into
-    /// the live stream (attempt-aware commit) — or the whole plan falls
-    /// back — without the downstream consumer ever observing a mix of
-    /// attempts. The clean arm runs pipelined too, so this is
-    /// stream-replay vs stream, not stream vs files.
+    /// Chaos over the deep chain: every stage boundary is a materialized
+    /// intermediate, and a crashed task's retry (or the engine fallback)
+    /// must leave exactly the part files a clean run writes, so the
+    /// downstream consumer never reads a mix of attempts. Clean and
+    /// faulted runs both use 4 scheduler threads.
     #[test]
-    fn chaos_deep_chain_replays_streamed_partitions(seed in 0u64..1_000_000) {
+    fn chaos_deep_chain_matches_clean_run(seed in 0u64..1_000_000) {
         let mut d = Driver::in_memory();
         branch::load_deep(&mut d, 300).unwrap();
         set_parallel(&mut d, true, 4);

@@ -117,14 +117,13 @@ fn enhanced_parallelism_matches_default_results() {
 
 #[test]
 fn stacked_features_still_agree() {
-    // Everything at once: ORC storage + enhanced parallelism + DAG
-    // execution + blocking shuffle must not change any result.
+    // Everything at once: ORC storage + enhanced parallelism + blocking
+    // shuffle must not change any result.
     let mut base = fresh_driver(FormatKind::Text);
     let mut stacked = fresh_driver(FormatKind::Orc);
     stacked
         .conf_mut()
         .set(hdm_common::conf::KEY_PARALLELISM, "enhanced");
-    stacked.conf_mut().set("hive.datampi.dag", true);
     stacked
         .conf_mut()
         .set(hdm_common::conf::KEY_SHUFFLE_STYLE, "blocking");

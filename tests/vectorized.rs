@@ -4,9 +4,9 @@
 //! `hive.vectorized.execution.enabled` is a pure performance knob.
 //!
 //! 1. **Differential sweep** — all 22 TPC-H queries over ORC × both
-//!    engines × {pipelined on, off} × {vectorized on, off} must produce
-//!    *byte-identical* collected rows within each (engine, pipelined)
-//!    arm, and normalized-identical rows across every arm.
+//!    engines × {vectorized on, off} must produce *byte-identical*
+//!    collected rows within each engine, and normalized-identical rows
+//!    across engines.
 //! 2. **Path assertions** — Q1 and Q6 actually take the batched path
 //!    (`vec.batches` counter > 0 vectorized-on, == 0 vectorized-off or
 //!    on a non-columnar Text table), and a DISTINCT aggregate stage
@@ -31,13 +31,9 @@ fn set_vectorized(d: &mut Driver, on: bool) {
     d.conf_mut().set(keys::KEY_VECTORIZED, on);
 }
 
-fn set_pipelined(d: &mut Driver, on: bool) {
-    d.conf_mut().set(keys::KEY_EXEC_PIPELINED, on);
-}
-
-/// Canonicalize a result for comparison *across* pipelining arms (see
-/// `tests/scheduler.rs`): reduce partitioning may legitimately differ
-/// between pipelined on/off, so sort lines and canonicalize floats.
+/// Canonicalize a result for comparison *across* engines or table
+/// layouts (see `tests/scheduler.rs`): row order and float accumulation
+/// order may legitimately differ, so sort lines and canonicalize floats.
 fn normalize(r: &QueryResult) -> Vec<String> {
     let mut lines: Vec<String> = r
         .to_lines()
@@ -68,9 +64,9 @@ fn counter_sum(d: &Driver, name: &str) -> u64 {
         .sum()
 }
 
-/// All 22 TPC-H queries × both engines × pipelined {off, on} ×
-/// vectorized {off, on}: byte-identical rows within each
-/// (engine, pipelined) arm, normalized-identical across all arms.
+/// All 22 TPC-H queries × both engines × vectorized {off, on}:
+/// byte-identical rows within each engine, normalized-identical across
+/// engines.
 #[test]
 fn tpch_differential_vectorized_on_off() {
     let mut d = fresh_orc_tpch_driver();
@@ -78,29 +74,23 @@ fn tpch_differential_vectorized_on_off() {
         let sql = tpch::queries::query(n);
         let mut baseline: Option<Vec<String>> = None;
         for engine in [EngineKind::DataMpi, EngineKind::Hadoop] {
-            for pipelined in [false, true] {
-                set_pipelined(&mut d, pipelined);
-                set_vectorized(&mut d, false);
-                let off = d
-                    .execute_on(sql, engine)
-                    .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-off: {e}"));
-                set_vectorized(&mut d, true);
-                let on = d
-                    .execute_on(sql, engine)
-                    .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-on: {e}"));
-                assert_eq!(
-                    off.to_lines(),
-                    on.to_lines(),
-                    "q{n} {engine:?} pipelined={pipelined}: vectorization changed rows"
-                );
-                let norm = normalize(&on);
-                match &baseline {
-                    None => baseline = Some(norm),
-                    Some(b) => assert_eq!(
-                        b, &norm,
-                        "q{n} {engine:?} pipelined={pipelined}: arm disagrees with baseline"
-                    ),
-                }
+            set_vectorized(&mut d, false);
+            let off = d
+                .execute_on(sql, engine)
+                .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-off: {e}"));
+            set_vectorized(&mut d, true);
+            let on = d
+                .execute_on(sql, engine)
+                .unwrap_or_else(|e| panic!("q{n} {engine:?} vec-on: {e}"));
+            assert_eq!(
+                off.to_lines(),
+                on.to_lines(),
+                "q{n} {engine:?}: vectorization changed rows"
+            );
+            let norm = normalize(&on);
+            match &baseline {
+                None => baseline = Some(norm),
+                Some(b) => assert_eq!(b, &norm, "q{n} {engine:?}: arm disagrees with baseline"),
             }
         }
     }
